@@ -11,7 +11,7 @@ BENCH_OVER ?= 25
 # their allocation count regresses by more than ALLOC_OVER percent
 # (allocs are deterministic, so this stays strict even on noisy CI).
 ALLOC_OVER ?= 10
-ALLOC_GATE ?= EpochSolve|PlanRepair|FrontierMoveRepair|StreamIngest|MetricsObserve|ColdPlanBuild
+ALLOC_GATE ?= EpochSolve|PlanRepair|FrontierMoveRepair|StreamIngest|MetricsObserve|ColdPlanBuild|IngestDecode|C1Ingest
 
 .PHONY: all build vet fmt-check test examples bench bench-smoke bench-baseline bench-compare bench-gate profile
 

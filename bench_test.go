@@ -11,6 +11,7 @@ package tomography
 
 import (
 	"context"
+	"encoding/json"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -19,9 +20,11 @@ import (
 	"testing"
 
 	"repro/internal/bitset"
+	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/estimator"
 	"repro/internal/experiment"
+	"repro/internal/ingestcodec"
 	"repro/internal/linalg"
 	"repro/internal/netsim"
 	"repro/internal/observe"
@@ -868,6 +871,117 @@ func BenchmarkMetricsObserve(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			child.Inc()
+		}
+	})
+}
+
+// ingestFixture draws n netsim intervals over the Medium-Brite
+// topology: the path universe and congestion density of the tomod
+// benchmark's ingest workloads.
+func ingestFixture(b *testing.B, n int) (*topology.Topology, []*bitset.Set) {
+	top, err := experiment.BuildTopology(experiment.Brite, experiment.Medium(), 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(1))
+	model, err := netsim.NewModel(top, netsim.DefaultConfig(netsim.RandomCongestion), n, rng)
+	if err != nil {
+		b.Fatal(err)
+	}
+	batch := make([]*bitset.Set, n)
+	for t := range batch {
+		batch[t] = model.Interval(t, rng).CongestedPaths
+	}
+	return top, batch
+}
+
+// referenceSets is the encoding/json ingest decode: wire intervals to
+// range-checked path sets.
+func referenceSets(b *testing.B, intervals [][]int, numPaths int) []*bitset.Set {
+	batch := make([]*bitset.Set, len(intervals))
+	for i, paths := range intervals {
+		set, err := ingestcodec.PathSet(i, paths, numPaths)
+		if err != nil {
+			b.Fatal(err)
+		}
+		batch[i] = set
+	}
+	return batch
+}
+
+// BenchmarkIngestDecode measures the decode of one 10-interval
+// POST /v1/observations body on Medium-Brite: the single-pass codec
+// the handler runs on canonical bodies, against the encoding/json
+// reference it falls back to for anything else.
+func BenchmarkIngestDecode(b *testing.B) {
+	top, batch := ingestFixture(b, 10)
+	req := server.ObservationsRequest{Intervals: make([]server.IntervalObs, len(batch))}
+	for i, set := range batch {
+		req.Intervals[i].CongestedPaths = set.Indices()
+	}
+	body, err := json.Marshal(req)
+	if err != nil {
+		b.Fatal(err)
+	}
+	numPaths := top.NumPaths()
+	b.Run("codec", func(b *testing.B) {
+		b.ReportAllocs()
+		b.SetBytes(int64(len(body)))
+		for b.Loop() {
+			if _, ok := ingestcodec.DecodeObservations(body, numPaths); !ok {
+				b.Fatal("canonical body not handled")
+			}
+		}
+	})
+	b.Run("encoding-json", func(b *testing.B) {
+		b.ReportAllocs()
+		b.SetBytes(int64(len(body)))
+		for b.Loop() {
+			var req server.ObservationsRequest
+			if err := json.Unmarshal(body, &req); err != nil {
+				b.Fatal(err)
+			}
+			intervals := make([][]int, len(req.Intervals))
+			for i, iv := range req.Intervals {
+				intervals[i] = iv.CongestedPaths
+			}
+			referenceSets(b, intervals, numPaths)
+		}
+	})
+}
+
+// BenchmarkC1Ingest measures one c1 ingest hop of a 20-interval batch
+// on Medium-Brite: the coordinator's encode from path sets plus the
+// worker's decode back to path sets — the codec against the
+// encoding/json round trip it replaced. Both write identical bytes.
+func BenchmarkC1Ingest(b *testing.B) {
+	top, batch := ingestFixture(b, 20)
+	numPaths := top.NumPaths()
+	b.Run("codec", func(b *testing.B) {
+		b.ReportAllocs()
+		for b.Loop() {
+			body := ingestcodec.AppendIngest(nil, 1000, batch)
+			if _, _, ok := ingestcodec.DecodeIngest(body, numPaths); !ok {
+				b.Fatal("canonical body not handled")
+			}
+		}
+	})
+	b.Run("encoding-json", func(b *testing.B) {
+		b.ReportAllocs()
+		for b.Loop() {
+			intervals := make([][]int, len(batch))
+			for i, set := range batch {
+				intervals[i] = set.Indices()
+			}
+			body, err := json.Marshal(cluster.IngestRequest{BaseSeq: 1000, Intervals: intervals})
+			if err != nil {
+				b.Fatal(err)
+			}
+			var req cluster.IngestRequest
+			if err := json.Unmarshal(body, &req); err != nil {
+				b.Fatal(err)
+			}
+			referenceSets(b, req.Intervals, numPaths)
 		}
 	})
 }

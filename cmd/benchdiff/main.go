@@ -14,6 +14,10 @@
 // -allocs-for regressed its allocs/op by more than N percent (allocs
 // are deterministic, so this gate is meaningful even on noisy boxes —
 // it protects the epoch-solve hot paths' allocation discipline).
+//
+// A snapshot may hold several samples per benchmark (`go test -count=N`);
+// every sample is kept and the comparison runs on the medians of ns/op
+// and of allocs/op.
 package main
 
 import (
@@ -40,11 +44,12 @@ var benchRE = regexp.MustCompile(`^(Benchmark[^\s]+?)(?:-\d+)?\s+\d+\s+([0-9.]+(
 // allocsRE extracts the -benchmem allocation count from the same line.
 var allocsRE = regexp.MustCompile(` ([0-9.]+(?:e[+-]?\d+)?) allocs/op`)
 
-// measurement is one benchmark's parsed result.
-type measurement struct {
-	ns        float64
-	allocs    float64
-	hasAllocs bool
+// samples are every measurement of one benchmark in a snapshot, in
+// file order; allocs holds only the samples that carried -benchmem
+// output.
+type samples struct {
+	ns     []float64
+	allocs []float64
 }
 
 // testEvent is the subset of test2json's event schema we need.
@@ -53,14 +58,13 @@ type testEvent struct {
 	Output string `json:"Output"`
 }
 
-// load parses a snapshot into benchmark name -> measurement. A
-// benchmark appearing multiple times keeps its last measurement.
+// load parses a snapshot into benchmark name -> every sample of it.
 //
 // test2json splits one bench-output line across multiple events (the
 // name is emitted when the benchmark starts, the measurements when it
 // finishes), so the raw stream is reassembled from the Output payloads
 // first and the result regex runs over its real lines.
-func load(path string) (map[string]measurement, error) {
+func load(path string) (map[string]*samples, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
@@ -89,7 +93,7 @@ func load(path string) (map[string]measurement, error) {
 	if err := sc.Err(); err != nil {
 		return nil, err
 	}
-	out := map[string]measurement{}
+	out := map[string]*samples{}
 	for _, text := range strings.Split(raw.String(), "\n") {
 		text = strings.TrimSpace(text)
 		m := benchRE.FindStringSubmatch(text)
@@ -100,15 +104,30 @@ func load(path string) (map[string]measurement, error) {
 		if err != nil {
 			continue
 		}
-		meas := measurement{ns: ns}
+		s := out[m[1]]
+		if s == nil {
+			s = &samples{}
+			out[m[1]] = s
+		}
+		s.ns = append(s.ns, ns)
 		if am := allocsRE.FindStringSubmatch(text); am != nil {
 			if allocs, err := strconv.ParseFloat(am[1], 64); err == nil {
-				meas.allocs, meas.hasAllocs = allocs, true
+				s.allocs = append(s.allocs, allocs)
 			}
 		}
-		out[m[1]] = meas
 	}
 	return out, nil
+}
+
+// median of a non-empty sample.
+func median(xs []float64) float64 {
+	s := append([]float64(nil), xs...)
+	sort.Float64s(s)
+	n := len(s)
+	if n%2 == 1 {
+		return s[n/2]
+	}
+	return (s[n/2-1] + s[n/2]) / 2
 }
 
 func human(ns float64) string {
@@ -127,7 +146,7 @@ func human(ns float64) string {
 func main() {
 	failOver := flag.Float64("fail-over", 0, "exit non-zero when any benchmark's ns/op regresses by more than this percent (0 = never fail)")
 	allocsOver := flag.Float64("allocs-over", 0, "exit non-zero when a benchmark matching -allocs-for regresses allocs/op by more than this percent (0 = never fail)")
-	allocsFor := flag.String("allocs-for", "EpochSolve|PlanRepair|StreamIngest|MetricsObserve", "regexp of benchmarks whose allocs/op are gated by -allocs-over")
+	allocsFor := flag.String("allocs-for", "EpochSolve|PlanRepair|FrontierMoveRepair|StreamIngest|MetricsObserve|ColdPlanBuild|IngestDecode|C1Ingest", "regexp of benchmarks whose allocs/op are gated by -allocs-over")
 	flag.Parse()
 	if flag.NArg() != 2 {
 		fmt.Fprintf(os.Stderr, "usage: benchdiff [-fail-over PCT] [-allocs-over PCT] [-allocs-for REGEX] <baseline> <fresh>\n")
@@ -176,26 +195,30 @@ func main() {
 		f, inFresh := fresh[n]
 		switch {
 		case !inBase:
-			fmt.Printf("%-*s  %12s  %12s  %8s\n", width, n, "-", human(f.ns), "(new)")
+			fmt.Printf("%-*s  %12s  %12s  %8s\n", width, n, "-", human(median(f.ns)), "(new)")
 		case !inFresh:
-			fmt.Printf("%-*s  %12s  %12s  %8s\n", width, n, human(b.ns), "-", "(gone)")
+			fmt.Printf("%-*s  %12s  %12s  %8s\n", width, n, human(median(b.ns)), "-", "(gone)")
 		default:
-			delta := (f.ns - b.ns) / b.ns * 100
+			bns, fns := median(b.ns), median(f.ns)
+			delta := (fns - bns) / bns * 100
 			if delta > worst {
 				worst = delta
 			}
 			allocCol := ""
-			if b.hasAllocs && f.hasAllocs {
-				allocCol = fmt.Sprintf("%.0f → %.0f", b.allocs, f.allocs)
-				regressed := (b.allocs == 0 && f.allocs > 0) ||
-					(b.allocs > 0 && (f.allocs-b.allocs)/b.allocs*100 > *allocsOver)
+			if len(b.allocs) > 0 && len(f.allocs) > 0 {
+				ba, fa := median(b.allocs), median(f.allocs)
+				allocCol = fmt.Sprintf("%.0f → %.0f", ba, fa)
+				regressed := (ba == 0 && fa > 0) || (ba > 0 && (fa-ba)/ba*100 > *allocsOver)
 				if *allocsOver > 0 && regressed && allocsGate.MatchString(n) {
 					allocFailures = append(allocFailures,
-						fmt.Sprintf("%s: %.0f → %.0f allocs/op", n, b.allocs, f.allocs))
+						fmt.Sprintf("%s: %.0f → %.0f allocs/op", n, ba, fa))
 					allocCol += "  !"
 				}
 			}
-			fmt.Printf("%-*s  %12s  %12s  %+7.1f%%  %s\n", width, n, human(b.ns), human(f.ns), delta, allocCol)
+			if len(b.ns) > 1 || len(f.ns) > 1 {
+				allocCol += fmt.Sprintf("  (medians of %d/%d)", len(b.ns), len(f.ns))
+			}
+			fmt.Printf("%-*s  %12s  %12s  %+7.1f%%  %s\n", width, n, human(bns), human(fns), delta, allocCol)
 		}
 	}
 	fail := false

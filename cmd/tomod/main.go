@@ -552,8 +552,9 @@ func runLoadGen(logger *slog.Logger, top *topology.Topology, cfg server.LoadConf
 	if err != nil {
 		return err
 	}
-	fmt.Printf("sent %d intervals in %d batches over %.2fs (%.0f intervals/s)\n",
-		stats.Intervals, stats.Batches, stats.Elapsed.Seconds(), stats.IntervalsPerSec())
+	fmt.Printf("sent %d intervals in %d batches over %.2fs (%.0f intervals/s; POST p50 %v, p99 %v)\n",
+		stats.Intervals, stats.Batches, stats.Elapsed.Seconds(), stats.IntervalsPerSec(),
+		stats.PostP50.Round(time.Microsecond), stats.PostP99.Round(time.Microsecond))
 
 	resp, err := http.Get(strings.TrimSuffix(cfg.Target, "/") + "/v1/status")
 	if err != nil {

@@ -40,6 +40,29 @@ func FromIndices(n int, indices ...int) *Set {
 	return s
 }
 
+// Words returns the number of 64-bit words backing a set over [0, n).
+func Words(n int) int { return (n + wordBits - 1) / wordBits }
+
+// Slab returns count sets over [0, n) whose bits live in consecutive
+// Words(n)-word windows of words (bit p of set i is bit p%64 of
+// words[i*Words(n)+p/64]); len(words) must be count*Words(n). One
+// allocation backs a whole batch, yet the sets never share bits: each
+// window's capacity is capped, so an Add past the universe moves that
+// set alone to fresh storage.
+func Slab(n, count int, words []uint64) []*Set {
+	w := Words(n)
+	if len(words) != count*w {
+		panic(fmt.Sprintf("bitset: slab of %d words for %d sets of %d words", len(words), count, w))
+	}
+	sets := make([]Set, count)
+	out := make([]*Set, count)
+	for i := range sets {
+		sets[i] = Set{words: words[i*w : (i+1)*w : (i+1)*w], n: n}
+		out[i] = &sets[i]
+	}
+	return out
+}
+
 // Len returns the universe size the set was created with.
 func (s *Set) Len() int { return s.n }
 

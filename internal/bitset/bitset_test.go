@@ -243,3 +243,31 @@ func TestQuickIntersectWith(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+func TestSlab(t *testing.T) {
+	const n, count = 130, 3
+	words := make([]uint64, count*Words(n))
+	words[0] = 1 << 5          // set 0: {5}
+	words[Words(n)+2] = 1 << 1 // set 1: {129}
+	sets := Slab(n, count, words)
+	if len(sets) != count {
+		t.Fatalf("Slab returned %d sets, want %d", len(sets), count)
+	}
+	for i, want := range [][]int{{5}, {129}, {}} {
+		if got := sets[i].Indices(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("set %d = %v, want %v", i, got, want)
+		}
+		if sets[i].Len() != n {
+			t.Fatalf("set %d universe %d, want %d", i, sets[i].Len(), n)
+		}
+	}
+	// Growing one set past the universe must not spill into its
+	// neighbour's window.
+	sets[0].Add(200)
+	if !sets[1].Equal(FromIndices(n, 129)) || !sets[2].IsEmpty() {
+		t.Fatalf("growing set 0 leaked into the slab: %v %v", sets[1], sets[2])
+	}
+	if got := Slab(0, 2, nil); len(got) != 2 || !got[0].IsEmpty() {
+		t.Fatalf("empty-universe slab = %v", got)
+	}
+}

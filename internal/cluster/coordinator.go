@@ -14,6 +14,7 @@ import (
 	"repro/internal/bitset"
 	"repro/internal/core"
 	"repro/internal/estimator"
+	"repro/internal/ingestcodec"
 	"repro/internal/observe"
 	"repro/internal/server"
 	"repro/internal/stream"
@@ -292,8 +293,8 @@ func (c *Coordinator) Forward(baseSeq uint64, batch []*bitset.Set) error {
 			return fmt.Errorf("%w: worker %s is %s", server.ErrShardUnavailable, h.id, st)
 		}
 	}
-	req := &IngestRequest{BaseSeq: baseSeq, Intervals: intervalsOf(batch)}
 	start := time.Now()
+	body := ingestcodec.AppendIngest(nil, baseSeq, batch)
 	errCh := make(chan error, len(c.workers))
 	n := 0
 	for _, h := range c.workers {
@@ -303,7 +304,7 @@ func (c *Coordinator) Forward(baseSeq uint64, batch []*bitset.Set) error {
 		n++
 		go func(h *workerHandle) {
 			var resp IngestResponse
-			if err := c.rpc(context.Background(), h, "ingest", http.MethodPost, "/c1/ingest", req, &resp); err != nil {
+			if err := c.rpc(context.Background(), h, "ingest", http.MethodPost, "/c1/ingest", body, &resp); err != nil {
 				c.markUnreachable(h, err)
 				errCh <- fmt.Errorf("%w: worker %s: %v", server.ErrShardUnavailable, h.id, err)
 				return
@@ -475,18 +476,18 @@ func (c *Coordinator) catchUpShard(h *workerHandle, shard int, wseq uint64) erro
 	for wseq < seq {
 		t := int(wseq - low)
 		end := min(t+catchUpChunk, ring.T())
-		intervals := make([][]int, 0, end-t)
+		rows := make([]*bitset.Set, 0, end-t)
 		for i := t; i < end; i++ {
-			intervals = append(intervals, ring.CongestedAt(i).Indices())
+			rows = append(rows, ring.CongestedAt(i))
 		}
 		var resp IngestResponse
 		err := c.rpc(context.Background(), h, "catchup", http.MethodPost,
 			fmt.Sprintf("/c1/shards/%d/ingest", shard),
-			&IngestRequest{BaseSeq: wseq, Intervals: intervals}, &resp)
+			ingestcodec.AppendIngest(nil, wseq, rows), &resp)
 		if err != nil {
 			return fmt.Errorf("replaying shard %d to %s: %w", shard, h.id, err)
 		}
-		replayed += len(intervals)
+		replayed += len(rows)
 		wseq = low + uint64(end)
 	}
 	if replayed > 0 {

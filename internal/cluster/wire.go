@@ -55,6 +55,7 @@ import (
 	"repro/internal/bitset"
 	"repro/internal/core"
 	"repro/internal/estimator"
+	"repro/internal/ingestcodec"
 	"repro/internal/topology"
 )
 
@@ -273,14 +274,33 @@ func (r *ShardResultResponse) decodeResult(numPaths, numLinks int) *core.Result 
 	return core.NewShardResult(subsets, pathSets, r.Rank, r.Nullity, r.ClampedRows)
 }
 
-// intervalsOf flattens a batch of congested-path sets into wire
-// intervals.
-func intervalsOf(batch []*bitset.Set) [][]int {
-	out := make([][]int, len(batch))
-	for i, set := range batch {
-		out[i] = set.Indices()
+// decodeIngestBody parses a c1 ingest body into its base sequence and
+// one full-universe path set per interval: the single-pass codec for
+// the canonical encoding every coordinator sends, encoding/json
+// (decodeIngestJSON) for anything else.
+func decodeIngestBody(body []byte, numPaths int) (uint64, []*bitset.Set, error) {
+	if base, batch, ok := ingestcodec.DecodeIngest(body, numPaths); ok {
+		return base, batch, nil
 	}
-	return out
+	return decodeIngestJSON(body, numPaths)
+}
+
+// decodeIngestJSON is the reference decode: it owns every error message
+// and every body the codec does not handle.
+func decodeIngestJSON(body []byte, numPaths int) (uint64, []*bitset.Set, error) {
+	var req IngestRequest
+	if err := json.NewDecoder(bytes.NewReader(body)).Decode(&req); err != nil {
+		return 0, nil, fmt.Errorf("decoding body: %w", err)
+	}
+	batch := make([]*bitset.Set, len(req.Intervals))
+	for i, paths := range req.Intervals {
+		set, err := ingestcodec.PathSet(i, paths, numPaths)
+		if err != nil {
+			return 0, nil, err
+		}
+		batch[i] = set
+	}
+	return req.BaseSeq, batch, nil
 }
 
 // client is one peer's view of a worker's internal API.
@@ -289,16 +309,20 @@ type client struct {
 	hc   *http.Client
 }
 
-// do performs one RPC: marshal in (nil means no body), decode the
-// envelope, enforce the wire version, and unmarshal data into out (nil
-// means discard). Application errors come back as *WireError; transport
+// do performs one RPC: send in (nil means no body; a []byte is a
+// pre-encoded body, anything else is marshalled), decode the envelope,
+// enforce the wire version, and unmarshal data into out (nil means
+// discard). Application errors come back as *WireError; transport
 // errors as whatever the HTTP client produced.
 func (c *client) do(ctx context.Context, method, path string, in, out any) error {
 	var body io.Reader
 	if in != nil {
-		raw, err := json.Marshal(in)
-		if err != nil {
-			return fmt.Errorf("cluster: encoding %s %s: %w", method, path, err)
+		raw, ok := in.([]byte)
+		if !ok {
+			var err error
+			if raw, err = json.Marshal(in); err != nil {
+				return fmt.Errorf("cluster: encoding %s %s: %w", method, path, err)
+			}
 		}
 		body = bytes.NewReader(raw)
 	}

@@ -14,6 +14,7 @@ import (
 
 	"repro/internal/bitset"
 	"repro/internal/estimator"
+	"repro/internal/ingestcodec"
 	"repro/internal/stream"
 	"repro/internal/telemetry"
 	"repro/internal/topology"
@@ -78,7 +79,8 @@ type Worker struct {
 	settings estimator.Settings
 	solver   *estimator.ShardedSolver
 	shards   map[int]*workerShard
-	order    []int // assigned shard IDs, ascending
+	order    []int         // assigned shard IDs, ascending
+	masked   []*bitset.Set // applyToShard's per-shard row scratch
 }
 
 // NewWorker builds an unassigned worker; placement arrives via
@@ -311,66 +313,59 @@ func (wk *Worker) openShardWAL(ws *workerShard, window int, initialSeq uint64) e
 	return nil
 }
 
-// decodeIntervals validates and converts wire intervals to path sets,
-// masked to the shard's universe when mask is non-nil.
-func (wk *Worker) decodeIntervals(intervals [][]int, mask *bitset.Set) ([]*bitset.Set, error) {
-	numPaths := wk.top.NumPaths()
-	batch := make([]*bitset.Set, len(intervals))
-	for i, iv := range intervals {
-		set := bitset.New(numPaths)
-		for _, p := range iv {
-			if p < 0 || p >= numPaths {
-				return nil, fmt.Errorf("interval %d: path %d outside universe [0,%d)", i, p, numPaths)
-			}
-			set.Add(p)
-		}
-		if mask != nil {
-			set.IntersectWith(mask)
-		}
-		batch[i] = set
+// readIngest reads and decodes one c1 ingest body, answering
+// bad_request itself on failure.
+func (wk *Worker) readIngest(w http.ResponseWriter, r *http.Request) (uint64, []*bitset.Set, bool) {
+	buf, err := ingestcodec.ReadBody(http.MaxBytesReader(w, r.Body, maxRPCBody))
+	var base uint64
+	var batch []*bitset.Set
+	if err != nil {
+		err = fmt.Errorf("decoding body: %w", err)
+	} else {
+		base, batch, err = decodeIngestBody(buf.Bytes(), wk.top.NumPaths())
 	}
-	return batch, nil
+	ingestcodec.ReleaseBody(buf)
+	if err != nil {
+		writeWireError(w, http.StatusBadRequest, &WireError{Code: CodeBadRequest, Message: err.Error()})
+		return 0, nil, false
+	}
+	return base, batch, true
 }
 
-// applyToShard applies the request's suffix this shard has not yet
-// seen: rows below the shard's sequence were applied by an earlier
-// delivery of the same batch and are skipped, which is what makes
-// coordinator retries after a partial fan-out failure safe. The caller
-// holds mu and has already ruled out a gap.
-func (wk *Worker) applyToShard(ws *workerShard, req *IngestRequest) error {
-	seq := ws.ring.Seq()
-	skip := int(seq - req.BaseSeq)
-	if skip >= len(req.Intervals) {
+// applyToShard applies the batch suffix this shard has not yet seen:
+// rows below the shard's sequence were applied by an earlier delivery
+// of the same batch and are skipped, which is what makes coordinator
+// retries after a partial fan-out failure safe. Rows are masked to the
+// shard's universe in the worker's reusable scratch sets (the ring and
+// WAL copy what they keep). The only failure is the shard WAL refusing
+// the batch (wal_unavailable). The caller holds mu and has already
+// ruled out a gap.
+func (wk *Worker) applyToShard(ws *workerShard, base uint64, batch []*bitset.Set) *WireError {
+	skip := int(ws.ring.Seq() - base)
+	if skip >= len(batch) {
 		return nil // entire batch already applied
 	}
-	batch, err := wk.decodeIntervals(req.Intervals[skip:], ws.mask)
-	if err != nil {
-		return &WireError{Code: CodeBadRequest, Message: err.Error()}
+	rows := batch[skip:]
+	if ws.mask != nil {
+		for len(wk.masked) < len(rows) {
+			wk.masked = append(wk.masked, new(bitset.Set))
+		}
+		for i, row := range rows {
+			row.IntersectInto(ws.mask, wk.masked[i])
+		}
+		rows = wk.masked[:len(rows)]
 	}
-	if _, err := ws.ring.AddBatch(batch); err != nil {
+	if _, err := ws.ring.AddBatch(rows); err != nil {
 		return &WireError{Code: CodeWALUnavailable,
 			Message: fmt.Sprintf("shard %d: %v", ws.shard, err)}
 	}
-	metricWorkerIngested.Add(uint64(len(batch)))
+	metricWorkerIngested.Add(uint64(len(rows)))
 	return nil
 }
 
-// writeIngestError maps an applyToShard failure.
-func (wk *Worker) writeIngestError(w http.ResponseWriter, err error) {
-	we, ok := err.(*WireError)
-	if !ok {
-		we = &WireError{Code: CodeBadRequest, Message: err.Error()}
-	}
-	status := http.StatusBadRequest
-	if we.Code == CodeWALUnavailable {
-		status = http.StatusServiceUnavailable
-	}
-	writeWireError(w, status, we)
-}
-
 func (wk *Worker) handleIngest(w http.ResponseWriter, r *http.Request) {
-	var req IngestRequest
-	if !decodeBody(w, r, &req) {
+	base, batch, ok := wk.readIngest(w, r)
+	if !ok {
 		return
 	}
 	wk.mu.Lock()
@@ -386,18 +381,18 @@ func (wk *Worker) handleIngest(w http.ResponseWriter, r *http.Request) {
 	// lockstep — and report every sequence so the coordinator can plan
 	// per-shard catch-up.
 	for _, k := range wk.order {
-		if req.BaseSeq > wk.shards[k].ring.Seq() {
+		if base > wk.shards[k].ring.Seq() {
 			writeWireError(w, http.StatusConflict, &WireError{
 				Code:    CodeSeqGap,
-				Message: fmt.Sprintf("batch base %d is ahead of shard %d (seq %d)", req.BaseSeq, k, wk.shards[k].ring.Seq()),
+				Message: fmt.Sprintf("batch base %d is ahead of shard %d (seq %d)", base, k, wk.shards[k].ring.Seq()),
 				Shards:  wk.shardSeqsLocked(),
 			})
 			return
 		}
 	}
 	for _, k := range wk.order {
-		if err := wk.applyToShard(wk.shards[k], &req); err != nil {
-			wk.writeIngestError(w, err)
+		if we := wk.applyToShard(wk.shards[k], base, batch); we != nil {
+			writeWireError(w, http.StatusServiceUnavailable, we)
 			return
 		}
 	}
@@ -433,8 +428,8 @@ func (wk *Worker) shardFromPathLocked(w http.ResponseWriter, r *http.Request) *w
 // touching the worker's other shards — which may themselves lag at a
 // different sequence.
 func (wk *Worker) handleShardIngest(w http.ResponseWriter, r *http.Request) {
-	var req IngestRequest
-	if !decodeBody(w, r, &req) {
+	base, batch, ok := wk.readIngest(w, r)
+	if !ok {
 		return
 	}
 	wk.mu.Lock()
@@ -443,16 +438,16 @@ func (wk *Worker) handleShardIngest(w http.ResponseWriter, r *http.Request) {
 	if ws == nil {
 		return
 	}
-	if req.BaseSeq > ws.ring.Seq() {
+	if base > ws.ring.Seq() {
 		writeWireError(w, http.StatusConflict, &WireError{
 			Code:    CodeSeqGap,
-			Message: fmt.Sprintf("batch base %d is ahead of shard %d (seq %d)", req.BaseSeq, ws.shard, ws.ring.Seq()),
+			Message: fmt.Sprintf("batch base %d is ahead of shard %d (seq %d)", base, ws.shard, ws.ring.Seq()),
 			Shards:  []ShardSeq{{Shard: ws.shard, Seq: ws.ring.Seq()}},
 		})
 		return
 	}
-	if err := wk.applyToShard(ws, &req); err != nil {
-		wk.writeIngestError(w, err)
+	if we := wk.applyToShard(ws, base, batch); we != nil {
+		writeWireError(w, http.StatusServiceUnavailable, we)
 		return
 	}
 	writeWire(w, http.StatusOK, IngestResponse{

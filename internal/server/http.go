@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -13,6 +14,7 @@ import (
 
 	"repro/internal/bitset"
 	"repro/internal/estimator"
+	"repro/internal/ingestcodec"
 	"repro/internal/telemetry"
 )
 
@@ -367,34 +369,28 @@ func writeEnvelope(w http.ResponseWriter, status int, env Envelope) {
 }
 
 func (s *Server) handleObservations(w http.ResponseWriter, r *http.Request) {
-	var req ObservationsRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.cfg.MaxIngestBytes))
-	if err := dec.Decode(&req); err != nil {
+	buf, err := ingestcodec.ReadBody(http.MaxBytesReader(w, r.Body, s.cfg.MaxIngestBytes))
+	var batch []*bitset.Set
+	if err == nil {
+		batch, err = decodeObservations(buf.Bytes(), s.top.NumPaths())
+	}
+	ingestcodec.ReleaseBody(buf)
+	if err != nil {
 		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
+		var badPath *ingestcodec.PathRangeError
+		switch {
+		case errors.As(err, &tooLarge):
 			rejTooLarge.Inc()
 			writeError(w, http.StatusRequestEntityTooLarge, CodePayloadTooLarge,
 				"body exceeds the %d-byte ingest limit; split the batch", tooLarge.Limit)
-			return
+		case errors.As(err, &badPath):
+			rejBadPath.Inc()
+			writeError(w, http.StatusBadRequest, CodeBadRequest, "%v", err)
+		default:
+			rejBadRequest.Inc()
+			writeError(w, http.StatusBadRequest, CodeBadRequest, "decoding body: %v", err)
 		}
-		rejBadRequest.Inc()
-		writeError(w, http.StatusBadRequest, CodeBadRequest, "decoding body: %v", err)
 		return
-	}
-	numPaths := s.top.NumPaths()
-	batch := make([]*bitset.Set, len(req.Intervals))
-	for i, iv := range req.Intervals {
-		set := bitset.New(numPaths)
-		for _, p := range iv.CongestedPaths {
-			if p < 0 || p >= numPaths {
-				rejBadPath.Inc()
-				writeError(w, http.StatusBadRequest, CodeBadRequest,
-					"interval %d: path %d outside universe [0,%d)", i, p, numPaths)
-				return
-			}
-			set.Add(p)
-		}
-		batch[i] = set
 	}
 	seq, err := s.Ingest(batch)
 	if err != nil {
@@ -417,6 +413,36 @@ func (s *Server) handleObservations(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeData(w, http.StatusOK, ObservationsResponse{Accepted: len(batch), Seq: seq})
+}
+
+// decodeObservations parses a POST /v1/observations body into one
+// full-universe path set per interval: the single-pass codec for a
+// canonical body, encoding/json (decodeObservationsJSON) for anything
+// else. Out-of-range paths come back as *ingestcodec.PathRangeError.
+func decodeObservations(body []byte, numPaths int) ([]*bitset.Set, error) {
+	if batch, ok := ingestcodec.DecodeObservations(body, numPaths); ok {
+		return batch, nil
+	}
+	return decodeObservationsJSON(body, numPaths)
+}
+
+// decodeObservationsJSON is the reference decode: it owns every error
+// message and every body the codec does not handle. Like any
+// json.Decoder it reads only the first JSON value of the body.
+func decodeObservationsJSON(body []byte, numPaths int) ([]*bitset.Set, error) {
+	var req ObservationsRequest
+	if err := json.NewDecoder(bytes.NewReader(body)).Decode(&req); err != nil {
+		return nil, err
+	}
+	batch := make([]*bitset.Set, len(req.Intervals))
+	for i, iv := range req.Intervals {
+		set, err := ingestcodec.PathSet(i, iv.CongestedPaths, numPaths)
+		if err != nil {
+			return nil, err
+		}
+		batch[i] = set
+	}
+	return batch, nil
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {

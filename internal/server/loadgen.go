@@ -6,8 +6,10 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"net/http"
+	"slices"
 	"strings"
 	"time"
 
@@ -44,6 +46,11 @@ type LoadStats struct {
 	Intervals int
 	Batches   int
 	Elapsed   time.Duration
+
+	// PostP50 and PostP99 are percentiles of the per-POST latency, from
+	// sending a batch to reading the server's acknowledgement
+	// (nearest-rank over Batches samples).
+	PostP50, PostP99 time.Duration
 }
 
 // IntervalsPerSec is the achieved ingest throughput.
@@ -76,6 +83,7 @@ func RunLoadGen(ctx context.Context, top *topology.Topology, cfg LoadConfig) (Lo
 	url := strings.TrimSuffix(cfg.Target, "/") + "/v1/observations"
 
 	var st LoadStats
+	var lat []time.Duration
 	start := time.Now()
 	batch := make([]IntervalObs, 0, cfg.BatchSize)
 	for t := 0; t < cfg.Intervals; t++ {
@@ -85,16 +93,30 @@ func RunLoadGen(ctx context.Context, top *topology.Topology, cfg LoadConfig) (Lo
 		obs := model.Interval(t, rng)
 		batch = append(batch, IntervalObs{CongestedPaths: obs.CongestedPaths.Indices()})
 		if len(batch) == cfg.BatchSize || t == cfg.Intervals-1 {
+			sent := time.Now()
 			if err := postBatch(ctx, client, url, batch); err != nil {
 				return st, err
 			}
+			lat = append(lat, time.Since(sent))
 			st.Intervals += len(batch)
 			st.Batches++
 			batch = batch[:0]
 		}
 	}
 	st.Elapsed = time.Since(start)
+	slices.Sort(lat)
+	st.PostP50, st.PostP99 = nearestRank(lat, 0.50), nearestRank(lat, 0.99)
 	return st, nil
+}
+
+// nearestRank is the q-quantile of ascending samples: the smallest
+// sample with at least a q fraction of the samples at or below it.
+func nearestRank(sorted []time.Duration, q float64) time.Duration {
+	if len(sorted) == 0 {
+		return 0
+	}
+	i := int(math.Ceil(q*float64(len(sorted)))) - 1
+	return sorted[max(i, 0)]
 }
 
 // postBatch sends one ObservationsRequest and checks for a 200.

@@ -214,6 +214,10 @@ func TestEndToEndStreaming(t *testing.T) {
 	if stats.Intervals != totalIntervals {
 		t.Fatalf("loadgen sent %d intervals, want %d", stats.Intervals, totalIntervals)
 	}
+	if stats.PostP50 <= 0 || stats.PostP99 < stats.PostP50 || stats.PostP99 > stats.Elapsed {
+		t.Fatalf("loadgen POST latency p50 %v / p99 %v: want 0 < p50 <= p99 <= elapsed %v",
+			stats.PostP50, stats.PostP99, stats.Elapsed)
+	}
 
 	// Final synchronous epoch over the fully ingested window.
 	snap := s.Recompute(nil)
